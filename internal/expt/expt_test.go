@@ -78,11 +78,7 @@ func TestOutcomeMath(t *testing.T) {
 // Scenario 1 end to end, all three variants: the adaptivity-overhead
 // measurement of §5.1. The monitoring cost must be positive but small.
 func TestScenario1OverheadSmall(t *testing.T) {
-	sc, _ := ByID("1")
-	out, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := outcome(t, "1")
 	na := out.Results[NoAdapt]
 	ad := out.Results[Adaptive]
 	mo := out.Results[MonitorOnly]
@@ -114,11 +110,7 @@ func TestAdaptationImprovesAllDisturbedScenarios(t *testing.T) {
 		t.Skip("runs the full evaluation")
 	}
 	for _, id := range []string{"2a", "2b", "3", "4", "5", "6"} {
-		sc, _ := ByID(id)
-		out, err := Run(sc, NoAdapt, Adaptive)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		out := outcome(t, id)
 		imp := out.Improvement()
 		t.Logf("scenario %s: improvement %.0f%%", id, imp*100)
 		if imp <= 0 {
@@ -136,10 +128,7 @@ func TestAdaptationImprovesAllDisturbedScenarios(t *testing.T) {
 // EXPERIMENTS.md streaming table.
 func TestScenario10StreamingSLO(t *testing.T) {
 	sc, _ := ByID("10")
-	out, err := Run(sc, NoAdapt, Adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := outcome(t, "10")
 	na, ad := out.Results[NoAdapt], out.Results[Adaptive]
 	if !na.Completed || !ad.Completed {
 		t.Fatalf("scenario 10 runs incomplete: na=%v ad=%v", na.Completed, ad.Completed)
@@ -163,12 +152,7 @@ func TestScenario10StreamingSLO(t *testing.T) {
 // second site is then never allocated at all, even though it was never
 // blacklisted.
 func TestScenario8LearnedBandwidthRequirement(t *testing.T) {
-	sc, _ := ByID("8")
-	out, err := Run(sc, Adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := out.Results[Adaptive]
+	res := outcome(t, "8").Results[Adaptive]
 	if !res.Completed {
 		t.Fatal("incomplete")
 	}
@@ -196,16 +180,7 @@ func TestScenario8LearnedBandwidthRequirement(t *testing.T) {
 
 // Scenario 5x: opportunistic migration strictly improves on scenario 5.
 func TestScenario5xOpportunisticBeatsPlain(t *testing.T) {
-	plain, _ := ByID("5")
-	opp, _ := ByID("5x")
-	p, err := Run(plain, Adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := Run(opp, Adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, o := outcome(t, "5"), outcome(t, "5x")
 	tp, to := p.Results[Adaptive].Runtime, o.Results[Adaptive].Runtime
 	t.Logf("plain=%.0fs opportunistic=%.0fs", tp, to)
 	if to >= tp {
@@ -215,16 +190,7 @@ func TestScenario5xOpportunisticBeatsPlain(t *testing.T) {
 
 // Scenario 9: load-aware benchmarking shrinks the adaptivity overhead.
 func TestScenario9LoadAwareBenchmarking(t *testing.T) {
-	plain, _ := ByID("1")
-	aware, _ := ByID("9")
-	po, err := Run(plain, NoAdapt, MonitorOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ao, err := Run(aware, NoAdapt, MonitorOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
+	po, ao := outcome(t, "1"), outcome(t, "9")
 	plainOverhead := po.Overhead(MonitorOnly)
 	awareOverhead := ao.Overhead(MonitorOnly)
 	t.Logf("plain overhead=%.2f%% load-aware=%.2f%%", plainOverhead*100, awareOverhead*100)
