@@ -15,8 +15,12 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is its own module (replace repro => ../), so the root
+# module's ./... never compiles it; vet it separately so an API change
+# it depends on fails here instead of in the benchmark run.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...

@@ -31,7 +31,6 @@ func init() {
 	// "report" is shared with the satin package's sender side; Register
 	// is idempotent for identical (kind, type) pairs.
 	wire.Register[metrics.Report]("report")
-	wire.Register[reportBatch]("report-batch")
 }
 
 // Re-exported core types so downstream users need only this package.
@@ -113,7 +112,7 @@ type Config struct {
 	// Thresholds then only contribute their badness weights.
 	StreamSLO *core.StreamSLOConfig
 	// Sharded runs the hierarchical tree's root (ISSUE 8): the
-	// coordinator consumes ClusterSummary frames from sub-kernel-mode
+	// coordinator consumes ClusterSummary frames from the
 	// SubCoordinators (StartSubKernel) instead of raw reports, so its
 	// state and per-period message load are O(clusters).
 	Sharded bool
@@ -214,7 +213,6 @@ func Start(f transport.Fabric, prov Provisioner, cfg Config) (*Coordinator, erro
 		c.kern = kern
 		c.kern.Protect(cfg.Protected...)
 		wire.Handle(c.wc, c.onReport)
-		wire.Handle(c.wc, c.onReportBatch)
 	}
 	c.wg.Add(1)
 	go c.loop()
@@ -281,20 +279,9 @@ func (c *Coordinator) onReport(rep metrics.Report, _ wire.Meta) {
 	c.mu.Unlock()
 }
 
-// onReportBatch takes batched reports from a per-cluster
-// sub-coordinator (the hierarchical deployment of the paper's §7). The
-// kernel keeps only each node's freshest report.
-func (c *Coordinator) onReportBatch(batch reportBatch, _ wire.Meta) {
-	for _, rep := range batch.Reports {
-		c.kern.Report(rep)
-	}
-	c.mu.Lock()
-	c.messages++
-	c.mu.Unlock()
-}
-
-// MessagesReceived counts report messages (single or batched) the main
-// coordinator handled — the load the §7 hierarchy is designed to cut.
+// MessagesReceived counts the messages the main coordinator handled —
+// node reports in flat mode, cluster summaries in sharded mode; the
+// load the §7 hierarchy is designed to cut.
 func (c *Coordinator) MessagesReceived() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

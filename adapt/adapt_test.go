@@ -239,9 +239,9 @@ func TestDefaultThresholdsMatchPaper(t *testing.T) {
 }
 
 // The §7 hierarchy: nodes report to per-cluster sub-coordinators,
-// which batch to the main coordinator. The main coordinator still sees
-// every node's statistics but handles O(clusters) messages per period
-// instead of O(nodes).
+// which send one summary per period to the sharded main coordinator.
+// The main coordinator still accounts for every node's statistics but
+// handles O(clusters) messages per period instead of O(nodes).
 func TestHierarchicalCoordinator(t *testing.T) {
 	period := 300 * time.Millisecond
 	g, err := satin.NewGrid(satin.GridConfig{
@@ -265,6 +265,7 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:      period,
 		MonitorOnly: true,
+		Sharded:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +273,7 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	defer coord.Stop()
 	var subs []*adapt.SubCoordinator
 	for _, c := range []adapt.ClusterID{"c0", "c1"} {
-		sub, err := adapt.StartSub(g.Fabric(), c, period)
+		sub, err := adapt.StartSubKernel(g.Fabric(), c, adapt.SubConfig{Period: period, Registry: fastReg()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,12 +292,13 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	}
 
 	// Run for several periods; the main coordinator must assemble a
-	// full 8-node view out of batched messages.
+	// full 8-node view out of the cluster summaries.
 	deadline := time.Now().Add(6 * time.Second)
 	for {
 		hist := coord.History()
-		// The decision detail names how many node reports the engine
-		// saw: "on 8 nodes" proves every report crossed the hierarchy.
+		// The decision detail names how many node reports the summaries
+		// aggregate: "on 8 nodes" proves every report crossed the
+		// hierarchy.
 		if len(hist) >= 3 &&
 			strings.Contains(hist[len(hist)-1].Detail, "on 8 nodes") {
 			break
@@ -308,10 +310,10 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	}
 	periods := len(coord.History())
 	msgs := coord.MessagesReceived()
-	// Flat reporting would deliver ~8 messages per period; batching
-	// caps it at ~2 (one per sub-coordinator).
+	// Flat reporting would deliver ~8 messages per period; summaries
+	// cap it at ~2 (one per sub-coordinator).
 	if msgs > periods*4 {
-		t.Errorf("main coordinator handled %d messages over %d periods — batching not effective", msgs, periods)
+		t.Errorf("main coordinator handled %d messages over %d periods — summarising not effective", msgs, periods)
 	}
 	t.Logf("periods=%d messages=%d (flat would be ~%d)", periods, msgs, periods*8)
 }

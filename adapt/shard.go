@@ -14,8 +14,7 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Sharded coordination for the real runtime (ISSUE 8): the
-// SubCoordinator stops being a batching relay and becomes a real
+// Sharded coordination for the real runtime: the SubCoordinator is a
 // sub-kernel driver — it ingests its cluster's reports into a
 // coord.SubKernel, emits one fixed-shape ClusterSummary per period,
 // and watches the root's acks. When FailoverAfter consecutive periods
@@ -51,7 +50,7 @@ type shardReset struct {
 	Req   coord.ReqState
 }
 
-// SubConfig tunes a sub-kernel-mode sub-coordinator.
+// SubConfig tunes a sub-coordinator.
 type SubConfig struct {
 	// Period is the summary period (matches the root's tick period).
 	Period time.Duration
@@ -59,7 +58,7 @@ type SubConfig struct {
 	// proposals with; they must match the root's configuration.
 	Thresholds Thresholds
 	// ProposalCap bounds the eviction candidates per summary (0 = all
-	// reporting nodes — exact parity with the flat kernel).
+	// reporting nodes — the root then ranks every node exactly).
 	ProposalCap int
 	// FailoverAfter is how many consecutive unacknowledged periods the
 	// sub tolerates before triggering an election (default 2).
@@ -74,27 +73,10 @@ type SubConfig struct {
 	Registry registry.Options
 }
 
-// subShard is the sub-kernel mode state hanging off a SubCoordinator.
-type subShard struct {
-	kern  *coord.SubKernel
-	reg   *registry.Client
-	f     transport.Fabric
-	cfg   SubConfig
-	start time.Time
-
-	// Guarded by the SubCoordinator mutex.
-	missed     int  // consecutive periods without an ack
-	pendingAck bool // summary sent, ack not yet seen
-	epoch      uint64
-	reqCache   coord.ReqState
-	promoted   *Coordinator // root this sub elected itself into, if any
-}
-
-// StartSubKernel launches a sub-coordinator in sub-kernel mode: the
-// cluster's nodes report to its endpoint exactly as in relay mode, but
-// the wire to the main coordinator carries one ClusterSummary per
-// period instead of the raw batch, and the sub takes part in root
-// failover.
+// StartSubKernel launches the sub-coordinator of one cluster: the
+// cluster's nodes report to its endpoint, the wire to the main
+// coordinator carries one ClusterSummary per period, and the sub takes
+// part in root failover.
 func StartSubKernel(f transport.Fabric, cluster ClusterID, cfg SubConfig) (*SubCoordinator, error) {
 	if cfg.Period == 0 {
 		cfg.Period = 2 * time.Second
@@ -124,14 +106,12 @@ func StartSubKernel(f transport.Fabric, cluster ClusterID, cfg SubConfig) (*SubC
 		wc:      wire.New(ep),
 		main:    EndpointName,
 		period:  cfg.Period,
+		kern:    coord.NewSubKernel(cluster, cfg.ProposalCap, cfg.Thresholds.Weights),
+		reg:     reg,
+		f:       f,
+		cfg:     cfg,
+		start:   time.Now(),
 		stop:    make(chan struct{}),
-		shard: &subShard{
-			kern:  coord.NewSubKernel(cluster, cfg.ProposalCap, cfg.Thresholds.Weights),
-			reg:   reg,
-			f:     f,
-			cfg:   cfg,
-			start: time.Now(),
-		},
 	}
 	wire.Handle(sc.wc, sc.onReport)
 	wire.Handle(sc.wc, sc.onAck)
@@ -145,12 +125,9 @@ func StartSubKernel(f transport.Fabric, cluster ClusterID, cfg SubConfig) (*SubC
 // observation into the sub-kernel's current period; the next summary
 // ships it to the root as ClusterSummary stream aggregates, where the
 // partials of all clusters sum into the global observation the root's
-// StreamSLO objective judges. No-op in relay mode, which forwards raw
-// reports and has no per-period state.
+// StreamSLO objective judges.
 func (sc *SubCoordinator) ObserveStream(o core.StreamObs) {
-	if sc.shard != nil {
-		sc.shard.kern.ObserveStream(o)
-	}
+	sc.kern.ObserveStream(o)
 }
 
 // Promoted returns the root coordinator this sub elected itself into,
@@ -159,33 +136,29 @@ func (sc *SubCoordinator) ObserveStream(o core.StreamObs) {
 func (sc *SubCoordinator) Promoted() *Coordinator {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.shard == nil {
-		return nil
-	}
-	return sc.shard.promoted
+	return sc.promoted
 }
 
-// shardTick runs one sub period: summarize the cluster's reports, send
+// tick runs one sub period: summarize the cluster's reports, send
 // the frame, account the root's silence, and — past the failover
 // threshold — run the election.
-func (sc *SubCoordinator) shardTick() {
-	sh := sc.shard
+func (sc *SubCoordinator) tick() {
 	var live []NodeID
-	for _, m := range sh.reg.Members() {
+	for _, m := range sc.reg.Members() {
 		if m.Cluster == sc.cluster {
 			live = append(live, m.ID)
 		}
 	}
 	sc.mu.Lock()
-	if sh.pendingAck {
+	if sc.pendingAck {
 		// Last period's summary vanished without a receipt.
-		sh.missed++
-		sh.pendingAck = false
+		sc.missed++
+		sc.pendingAck = false
 	}
-	epoch, req := sh.epoch, sh.reqCache
+	epoch, req := sc.epoch, sc.reqCache
 	sc.mu.Unlock()
 
-	sum := sh.kern.Summarize(time.Since(sh.start).Seconds(), live)
+	sum := sc.kern.Summarize(time.Since(sc.start).Seconds(), live)
 	sum.Epoch = epoch
 	sum.Req = req
 	if err := wire.Send(sc.wc, sc.main, sum); err != nil {
@@ -193,16 +166,16 @@ func (sc *SubCoordinator) shardTick() {
 		// synchronously, which counts as a missed ack immediately.
 		obs.Default.Counter("adapt/summary_send_failures").Inc()
 		sc.mu.Lock()
-		sh.missed++
+		sc.missed++
 		sc.mu.Unlock()
 	} else {
 		sc.mu.Lock()
-		sh.pendingAck = true
+		sc.pendingAck = true
 		sc.mu.Unlock()
 	}
 
 	sc.mu.Lock()
-	starved := sh.missed >= sh.cfg.FailoverAfter && sh.promoted == nil
+	starved := sc.missed >= sc.cfg.FailoverAfter && sc.promoted == nil
 	sc.mu.Unlock()
 	if starved {
 		sc.tryElect()
@@ -211,42 +184,37 @@ func (sc *SubCoordinator) shardTick() {
 
 // onAck processes the root's receipt: reset the silence counter, cache
 // the requirements snapshot, and adopt a newer reset epoch (dropping
-// the pre-action reports, as the flat kernel's post-action reset
-// does).
+// the pre-action reports: the sub's share of the root's post-action
+// reset).
 func (sc *SubCoordinator) onAck(ack summaryAck, _ wire.Meta) {
-	sh := sc.shard
-	if sh == nil || ack.Cluster != sc.cluster {
+	if ack.Cluster != sc.cluster {
 		return
 	}
 	sc.mu.Lock()
-	sh.pendingAck = false
-	sh.missed = 0
-	sh.reqCache = ack.Req
-	bump := ack.Epoch > sh.epoch
+	sc.pendingAck = false
+	sc.missed = 0
+	sc.reqCache = ack.Req
+	bump := ack.Epoch > sc.epoch
 	if bump {
-		sh.epoch = ack.Epoch
+		sc.epoch = ack.Epoch
 	}
 	sc.mu.Unlock()
 	if bump {
-		sh.kern.Reset()
+		sc.kern.Reset()
 	}
 }
 
 // onShardReset is the root's eager post-action push.
 func (sc *SubCoordinator) onShardReset(rst shardReset, _ wire.Meta) {
-	sh := sc.shard
-	if sh == nil {
-		return
-	}
 	sc.mu.Lock()
-	sh.reqCache = rst.Req
-	bump := rst.Epoch > sh.epoch
+	sc.reqCache = rst.Req
+	bump := rst.Epoch > sc.epoch
 	if bump {
-		sh.epoch = rst.Epoch
+		sc.epoch = rst.Epoch
 	}
 	sc.mu.Unlock()
 	if bump {
-		sh.kern.Reset()
+		sc.kern.Reset()
 	}
 }
 
@@ -256,10 +224,9 @@ func (sc *SubCoordinator) onShardReset(rst shardReset, _ wire.Meta) {
 // presumptive winner is itself dead, the registry's failure detector
 // removes it and the next-lowest sub takes over a period later).
 func (sc *SubCoordinator) tryElect() {
-	sh := sc.shard
 	self := SubEndpointName(sc.cluster)
 	low := self
-	for _, m := range sh.reg.Members() {
+	for _, m := range sc.reg.Members() {
 		id := string(m.ID)
 		if m.Cluster == "" && strings.HasPrefix(id, EndpointName+"/") && id < low {
 			low = id
@@ -268,15 +235,15 @@ func (sc *SubCoordinator) tryElect() {
 	if low != self {
 		return
 	}
-	rootCfg := sh.cfg.Root
+	rootCfg := sc.cfg.Root
 	rootCfg.Sharded = true
 	if rootCfg.Period == 0 {
 		rootCfg.Period = sc.period
 	}
 	if rootCfg.Thresholds == (Thresholds{}) {
-		rootCfg.Thresholds = sh.cfg.Thresholds
+		rootCfg.Thresholds = sc.cfg.Thresholds
 	}
-	c, err := Start(sh.f, sh.cfg.Prov, rootCfg)
+	c, err := Start(sc.f, sc.cfg.Prov, rootCfg)
 	if err != nil {
 		// The endpoint claim failed: the old root is still alive after
 		// all, or a rival claimed it first. Either way a root exists —
@@ -285,10 +252,10 @@ func (sc *SubCoordinator) tryElect() {
 		return
 	}
 	sc.mu.Lock()
-	epoch, req := sh.epoch, sh.reqCache
-	sh.promoted = c
-	sh.missed = 0
-	sh.pendingAck = false
+	epoch, req := sc.epoch, sc.reqCache
+	sc.promoted = c
+	sc.missed = 0
+	sc.pendingAck = false
 	sc.mu.Unlock()
 	// Seed the successor from this sub's cache; the other subs' caches
 	// union-merge in with their next summaries. Blacklists are monotone,

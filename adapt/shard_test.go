@@ -1,7 +1,7 @@
 package adapt_test
 
 // Live sharded-tree tests (ISSUE 8): scripted reports drive real
-// sub-kernel-mode SubCoordinators against a real sharded root over the
+// SubCoordinators against a real sharded root over the
 // in-process fabric, so the failover path — missed acks, election,
 // requirements carryover, resumed adaptation — runs with real
 // goroutines, timers and registry failure detection (and under -race
@@ -242,7 +242,7 @@ func TestChaosShardedRootFailover(t *testing.T) {
 
 // TestShardedStreamSLOGrowsOnViolation drives ISSUE 9's streaming
 // objective through the live sharded tree: per-cluster stream partials
-// fed to sub-kernel-mode SubCoordinators must travel inside
+// fed to SubCoordinators must travel inside
 // ClusterSummary frames, sum at the root, and push its StreamSLO
 // objective into a proportional grow decision — the sharded analogue of
 // the flat coordinator path the job layer exercises.
@@ -339,10 +339,11 @@ func TestShardedStreamSLOGrowsOnViolation(t *testing.T) {
 	}
 }
 
-// TestSubFlushRetriesUntilRootReturns pins the relay-mode outage fix:
-// a batch the sub cannot deliver (coordinator down) is counted on the
-// forward_failures counter and retained, then redelivered once the
-// coordinator endpoint exists again — never silently dropped.
+// TestSubFlushRetriesUntilRootReturns pins the sub's outage handling:
+// a summary the sub cannot deliver (no root endpoint) is counted on the
+// summary_send_failures counter, and the sub keeps its cluster's
+// reports, so the root that comes up later still receives them in the
+// next summary — never silently dropped.
 func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	fab := transport.NewInProc(nil)
 	defer fab.Close()
@@ -351,11 +352,23 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	}
 
 	const period = 100 * time.Millisecond
-	sub, err := adapt.StartSub(fab, "c0", period)
+	sub, err := adapt.StartSubKernel(fab, "c0", adapt.SubConfig{
+		Period:   period,
+		Registry: fastReg(),
+		// Never elect: this test brings the root up itself.
+		FailoverAfter: 1 << 20,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Stop()
+
+	// One live worker of c0, so the sub keeps its report across periods.
+	worker, err := registry.Join(fab, registry.NodeInfo{ID: "c0/00", Cluster: "c0"}, fastReg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
 
 	ep, err := fab.Endpoint("pusher")
 	if err != nil {
@@ -365,9 +378,9 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	defer wc.Close()
 
 	// The only report this test ever sends arrives while no coordinator
-	// exists: any batch the coordinator later receives must be the
-	// retained one.
-	failures := obs.Default.Counter("adapt/forward_failures")
+	// exists: any statistics the root later sees must be the retained
+	// report.
+	failures := obs.Default.Counter("adapt/summary_send_failures")
 	before := failures.Value()
 	rep := metrics.Report{Node: "c0/00", Cluster: "c0", End: 0.1,
 		BusySec: 0.05, IdleSec: 0.05, Speed: 1}
@@ -378,13 +391,13 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for failures.Value() == before {
 		if time.Now().After(deadline) {
-			t.Fatal("flush to the missing coordinator never failed visibly")
+			t.Fatal("summary to the missing coordinator never failed visibly")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	coord, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{
-		Period: period, MonitorOnly: true, Registry: fastReg(),
+		Period: period, MonitorOnly: true, Sharded: true, Registry: fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,9 +405,13 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	defer coord.Stop()
 
 	deadline = time.Now().Add(5 * time.Second)
-	for coord.MessagesReceived() == 0 {
+	for {
+		hist := coord.History()
+		if len(hist) > 0 && hist[len(hist)-1].Stats == 1 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("retained batch was never redelivered after the outage")
+			t.Fatalf("retained report never reached the root after the outage: %+v", hist)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

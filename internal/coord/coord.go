@@ -1,10 +1,13 @@
 // Package coord implements the paper's Figure-2 adaptation loop ONCE,
-// independently of the runtime that executes the application. The
-// Kernel owns everything between "statistics arrive" and "effects are
-// requested": report ingestion, two-period smoothing, the decision
-// engine call, requirements learning (minimum bandwidth, blacklists),
-// the cluster-eviction fallback, bootstrap when the computation died,
-// optional opportunistic migration, and the post-action report reset.
+// independently of the runtime that executes the application. It owns
+// everything between "statistics arrive" and "effects are requested",
+// split the way the paper's §7 hierarchy splits it (shard.go): per
+// cluster SubKernels do report ingestion and two-period smoothing, and
+// one RootKernel runs the decision — the objective, requirements
+// learning (minimum bandwidth, blacklists), cluster eviction and its
+// fallback, bootstrap when the computation died, optional opportunistic
+// migration, fair-share yield and the post-action reset. The Kernel in
+// this file is the two halves composed in one process.
 //
 // Runtimes plug in through the small Actuator interface: the
 // discrete-event simulator (internal/des) and the real
@@ -17,14 +20,11 @@
 package coord
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // Veto is the scheduler-side filter derived from the learned
@@ -127,103 +127,64 @@ type Config struct {
 	Pressure func() int
 }
 
-// Kernel is the runtime-independent adaptation coordinator. It is safe
-// for concurrent use: the real runtime feeds Report from transport
-// handlers while its ticker calls Tick.
+// Kernel is the single-process coordinator: the sharded tree of
+// shard.go composed in process. Each cluster's reports land at its own
+// SubKernel, proposing every reporting node (no proposal cap), and Tick
+// summarises every sub and hands the summaries straight to one
+// RootKernel — the only implementation of the Figure-2 policy. The
+// message-passing drivers (internal/des and adapt in sharded mode) run
+// the same two halves with latency, acks and failover between them.
+//
+// It is safe for concurrent use: the real runtime feeds Report from
+// transport handlers while its ticker calls Tick.
 type Kernel struct {
-	cfg     Config
-	eng     *core.Engine   // batch engine (nil for non-batch objectives)
-	obj     core.Objective // nil = monitor-only
-	weights core.BadnessWeights
-	reqs    *core.Requirements
-	act     Actuator
+	root *RootKernel
 
-	mu      sync.Mutex
-	stream  *core.StreamObs // pending streaming observation for the next tick
-	reports map[core.NodeID]metrics.Report
-	// prevStats keeps the previous period's per-node statistics: the
-	// kernel decides on the average of two periods, smoothing out the
-	// heavy-tailed per-period noise of a few large job transfers.
-	prevStats map[core.NodeID]core.NodeStats
-	protected map[core.NodeID]bool
-
-	ins kernelInstruments
-}
-
-// kernelInstruments caches the obs instruments Tick touches, resolved
-// once at kernel construction so the tick path never takes the
-// registry lock.
-type kernelInstruments struct {
-	ticks        *obs.Counter
-	smoothed     *obs.Counter
-	resets       *obs.Counter
-	health       *obs.Gauge
-	liveNodes    *obs.Gauge
-	reported     *obs.Gauge
-	periodHealth *obs.Histogram
-}
-
-func newKernelInstruments() kernelInstruments {
-	// The health series carry the objective's scalar (WAE for batch,
-	// target/latency for streams). The pre-objective names stay
-	// registered as aliases so existing scrapes keep working.
-	obs.Default.Alias("coord/health", "coord/wae")
-	obs.Default.Alias("coord/period_health", "coord/period_wae")
-	return kernelInstruments{
-		ticks:        obs.Default.Counter("coord/ticks"),
-		smoothed:     obs.Default.Counter("coord/smoothed_reports"),
-		resets:       obs.Default.Counter("coord/post_action_resets"),
-		health:       obs.Default.Gauge("coord/health"),
-		liveNodes:    obs.Default.Gauge("coord/live_nodes"),
-		reported:     obs.Default.Gauge("coord/reported_nodes"),
-		periodHealth: obs.Default.Histogram("coord/period_health", obs.HealthBuckets),
-	}
+	mu        sync.Mutex
+	subs      []*SubKernel // sorted by cluster
+	clusters  []core.ClusterID
+	byCluster map[core.ClusterID]*SubKernel
+	clusterOf map[core.NodeID]core.ClusterID // nodes whose report a sub may hold
+	liveBy    map[core.ClusterID][]core.NodeID
+	// stream is the pending streaming observation for the next tick.
+	// The root always receives it, empty when nothing was observed:
+	// core.StreamHealth scores an empty observation the same neutral 1
+	// as no observation at all, so a streaming objective is not judged
+	// on the batch WAE while it waits for its first window.
+	stream core.StreamObs
 }
 
 // New builds a Kernel. cfg.Engine is validated when present.
 func New(cfg Config, act Actuator) (*Kernel, error) {
-	if act == nil {
-		return nil, fmt.Errorf("coord: nil actuator")
+	root, err := NewRoot(cfg, act)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.OpportunisticFactor == 0 {
-		cfg.OpportunisticFactor = 1.5
-	}
-	k := &Kernel{
-		cfg:       cfg,
-		reqs:      core.NewRequirements(),
-		act:       act,
-		reports:   make(map[core.NodeID]metrics.Report),
-		prevStats: make(map[core.NodeID]core.NodeStats),
-		protected: make(map[core.NodeID]bool),
-		ins:       newKernelInstruments(),
-	}
-	k.weights = core.DefaultBadnessWeights()
-	switch {
-	case cfg.Objective != nil:
-		k.obj = cfg.Objective
-		// The batch objective keeps its engine reachable: the kernel's
-		// cluster-eviction fallback still needs ShrinkCount.
-		if b, ok := cfg.Objective.(*core.BatchWAE); ok {
-			k.eng = b.Engine()
-			k.weights = k.eng.Config().Weights
-		} else if s, ok := cfg.Objective.(*core.StreamSLO); ok {
-			k.weights = s.Config().Weights
-		}
-	case cfg.Engine != nil:
-		obj, err := core.NewBatchWAE(*cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		k.obj = obj
-		k.eng = obj.Engine()
-		k.weights = k.eng.Config().Weights
-	}
-	return k, nil
+	// Every reporting node is proposed, so a cluster eviction takes
+	// exactly the cluster's reporting nodes from the proposals.
+	root.evictProposals = true
+	return &Kernel{
+		root:      root,
+		byCluster: make(map[core.ClusterID]*SubKernel),
+		clusterOf: make(map[core.NodeID]core.ClusterID),
+		liveBy:    make(map[core.ClusterID][]core.NodeID),
+	}, nil
 }
 
 // Objective returns the kernel's adaptation objective (nil when the
 // kernel only monitors).
-func (k *Kernel) Objective() core.Objective { return k.obj }
+func (k *Kernel) Objective() core.Objective { return k.root.Objective() }
+
+// Requirements exposes what the run has taught the kernel.
+func (k *Kernel) Requirements() *core.Requirements { return k.root.Requirements() }
+
+// Protect marks nodes as unremovable (the node hosting the root of the
+// computation, and in the real system the process the user started).
+func (k *Kernel) Protect(ids ...core.NodeID) { k.root.Protect(ids...) }
+
+// SetProtected replaces the protected set — used by runtimes where the
+// protected role moves (a new master is elected after a crash).
+func (k *Kernel) SetProtected(ids ...core.NodeID) { k.root.SetProtected(ids...) }
 
 // ObserveStream ingests one period's streaming observation; the next
 // Tick consumes it. Partial observations within a period merge by
@@ -231,26 +192,29 @@ func (k *Kernel) Objective() core.Objective { return k.obj }
 func (k *Kernel) ObserveStream(o core.StreamObs) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.stream == nil {
-		cp := o
-		k.stream = &cp
-		return
-	}
 	k.stream.Merge(o)
 }
 
-// Requirements exposes what the run has taught the kernel.
-func (k *Kernel) Requirements() *core.Requirements { return k.reqs }
-
-// Report ingests one node's per-period statistics. Only the freshest
-// report per node is kept (batched deliveries may reorder).
+// Report ingests one node's per-period statistics into its cluster's
+// sub-kernel, which keeps only the freshest report per node (batched
+// deliveries may reorder).
 func (k *Kernel) Report(rep metrics.Report) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if cur, ok := k.reports[rep.Node]; ok && rep.End < cur.End {
-		return
+	sk, ok := k.byCluster[rep.Cluster]
+	if !ok {
+		sk = NewSubKernel(rep.Cluster, 0, k.root.weights)
+		k.byCluster[rep.Cluster] = sk
+		i := sort.Search(len(k.clusters), func(i int) bool { return k.clusters[i] >= rep.Cluster })
+		k.clusters = append(k.clusters, "")
+		copy(k.clusters[i+1:], k.clusters[i:])
+		k.clusters[i] = rep.Cluster
+		k.subs = append(k.subs, nil)
+		copy(k.subs[i+1:], k.subs[i:])
+		k.subs[i] = sk
 	}
-	k.reports[rep.Node] = rep
+	k.clusterOf[rep.Node] = rep.Cluster
+	sk.Report(rep)
 }
 
 // Forget drops a departed node's state immediately (Tick also prunes
@@ -258,60 +222,28 @@ func (k *Kernel) Report(rep metrics.Report) {
 func (k *Kernel) Forget(id core.NodeID) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	delete(k.reports, id)
-	delete(k.prevStats, id)
-}
-
-// Reports returns a copy of the kernel's current report view. Hot
-// paths that only need to look should use EachReport instead — this
-// copy allocates a fresh map per call.
-func (k *Kernel) Reports() map[core.NodeID]metrics.Report {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make(map[core.NodeID]metrics.Report, len(k.reports))
-	for id, rep := range k.reports {
-		out[id] = rep
+	if c, ok := k.clusterOf[id]; ok {
+		k.byCluster[c].Forget(id)
+		delete(k.clusterOf, id)
 	}
-	return out
 }
 
-// EachReport calls fn for every stored report under the kernel lock,
-// stopping early when fn returns false. It allocates nothing (pinned
-// by an AllocsPerRun guard); fn must not call back into the kernel.
+// EachReport calls fn for every stored report, stopping early when fn
+// returns false. It allocates nothing (pinned by an AllocsPerRun
+// guard); fn must not call back into the kernel.
 func (k *Kernel) EachReport(fn func(metrics.Report) bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, rep := range k.reports {
-		if !fn(rep) {
+	more := true
+	for _, sk := range k.subs {
+		sk.EachReport(func(rep metrics.Report) bool {
+			more = fn(rep)
+			return more
+		})
+		if !more {
 			return
 		}
 	}
-}
-
-// Protect marks nodes as unremovable (the node hosting the root of the
-// computation, and in the real system the process the user started).
-func (k *Kernel) Protect(ids ...core.NodeID) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for _, id := range ids {
-		k.protected[id] = true
-	}
-}
-
-// SetProtected replaces the protected set — used by runtimes where the
-// protected role moves (a new master is elected after a crash).
-func (k *Kernel) SetProtected(ids ...core.NodeID) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.protected = make(map[core.NodeID]bool, len(ids))
-	for _, id := range ids {
-		k.protected[id] = true
-	}
-}
-
-// veto is the scheduler filter derived from the learned requirements.
-func (k *Kernel) veto(node core.NodeID, cluster core.ClusterID) bool {
-	return k.reqs.NodeBlacklisted(node, cluster)
 }
 
 // Tick runs one pass of the paper's Figure-2 loop at time now over the
@@ -319,203 +251,50 @@ func (k *Kernel) veto(node core.NodeID, cluster core.ClusterID) bool {
 // of nodes no longer live are pruned; live nodes whose first period has
 // not completed are simply missing, as in the paper ("the coordinator
 // may miss data ... this causes small inaccuracies but does not
-// influence the adaptation").
+// influence the adaptation"). Successive ticks must not go back in
+// time: the root keeps each cluster's freshest summary.
 func (k *Kernel) Tick(now float64, live []core.NodeID) PeriodRecord {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 
-	liveSet := make(map[core.NodeID]bool, len(live))
+	for c, ids := range k.liveBy {
+		k.liveBy[c] = ids[:0]
+	}
+	known := 0
 	for _, id := range live {
-		liveSet[id] = true
-	}
-	for id := range k.reports {
-		if !liveSet[id] {
-			delete(k.reports, id)
+		if c, ok := k.clusterOf[id]; ok {
+			k.liveBy[c] = append(k.liveBy[c], id)
+			known++
 		}
 	}
-
-	ids := append([]core.NodeID(nil), live...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var stats []core.NodeStats
-	next := make(map[core.NodeID]core.NodeStats, len(ids))
-	for _, id := range ids {
-		rep, ok := k.reports[id]
-		if !ok {
-			continue
+	if known < len(k.clusterOf) {
+		// Some reporting nodes left: their reports are pruned below.
+		liveSet := make(map[core.NodeID]bool, len(live))
+		for _, id := range live {
+			liveSet[id] = true
 		}
-		cur := rep.Stats()
-		next[id] = cur
-		if prev, ok := k.prevStats[id]; ok {
-			cur = smooth(cur, prev)
-			k.ins.smoothed.Inc()
-		}
-		stats = append(stats, cur)
-	}
-	k.prevStats = next
-
-	// The period's streaming observation (if any) is consumed by this
-	// tick whether or not the kernel decides on it.
-	po := core.PeriodObs{Stats: stats, Stream: k.stream}
-	k.stream = nil
-
-	health := core.WeightedAverageEfficiency(stats)
-	if k.obj != nil {
-		health = k.obj.Health(po)
-	}
-	rec := PeriodRecord{
-		Time:  now,
-		WAE:   health,
-		Nodes: len(live),
-		Stats: len(stats),
-	}
-	k.ins.ticks.Inc()
-	k.ins.liveNodes.Set(float64(len(live)))
-	k.ins.reported.Set(float64(len(stats)))
-	if len(stats) > 0 {
-		k.ins.health.Set(rec.WAE)
-		k.ins.periodHealth.Observe(rec.WAE)
-	}
-	defer func() {
-		// "none" periods are already counted by coord/ticks; only real
-		// decisions get a per-action counter.
-		if rec.Action != "" && rec.Action != "none" {
-			obs.Default.Counter("coord/decision/" + rec.Action).Inc()
-		}
-		if rec.Added > 0 {
-			obs.Default.Counter("coord/nodes_added").Add(uint64(rec.Added))
-		}
-		if rec.Removed > 0 {
-			obs.Default.Counter("coord/nodes_removed").Add(uint64(rec.Removed))
-		}
-	}()
-	if k.obj == nil || k.cfg.MonitorOnly {
-		if len(stats) > 0 {
-			rec.Detail = fmt.Sprintf("monitor only: WAE %.3f on %d nodes", rec.WAE, len(stats))
-		}
-		return rec
-	}
-	if len(stats) == 0 {
-		// Either no node has completed a period yet (let them report)
-		// or the whole computation died — in the latter case bootstrap
-		// by requesting a replacement node.
-		if len(live) == 0 {
-			rec.Action = "add"
-			rec.Added = k.act.Provision(1, k.reqs.MinBandwidth(), k.veto)
-			rec.Detail = "no live nodes; bootstrap by requesting one"
-			if rec.Added > 0 {
-				k.act.Annotate("bootstrap: requested a replacement node")
-			}
-		}
-		return rec
-	}
-
-	// Fair-share yield outranks the WAE band: when the pool demands
-	// capacity back for starved jobs, holding on to surplus nodes would
-	// starve them for as long as this job runs. Yield the worst nodes
-	// (least efficient by the badness heuristic) and decide afresh on
-	// the shrunken configuration next period.
-	if k.cfg.Pressure != nil {
-		if p := k.cfg.Pressure(); p > 0 {
-			ranked := core.RankNodes(stats, k.weights)
-			var victims []core.NodeID
-			for _, nb := range ranked {
-				if len(victims) >= p {
-					break
-				}
-				if !k.protected[nb.Node] {
-					victims = append(victims, nb.Node)
-				}
-			}
-			if removed := k.evict(victims, "fair-share yield", false); removed > 0 {
-				rec.Action = "yield"
-				rec.Removed = removed
-				rec.Detail = fmt.Sprintf("pool reclaimed %d of %d surplus nodes", removed, p)
-				obs.Default.Counter("coord/yielded").Add(uint64(removed))
-				k.act.Annotate(fmt.Sprintf("yielded %d nodes to the shared pool", removed))
-				k.reports = make(map[core.NodeID]metrics.Report)
-				k.prevStats = make(map[core.NodeID]core.NodeStats)
-				k.ins.resets.Inc()
-				return rec
+		for id := range k.clusterOf {
+			if !liveSet[id] {
+				delete(k.clusterOf, id)
 			}
 		}
 	}
 
-	d := k.obj.Assess(po)
-	rec.WAE = d.WAE
-	rec.Action = d.Action.String()
-	rec.Detail = d.Reason
-	blacklist := k.obj.Traits().BlacklistVictims || d.Blacklist
-
-	acted := false
-	switch d.Action {
-	case core.ActionNone:
-		if k.cfg.Opportunistic {
-			if added, removed := k.tryOpportunistic(stats); added > 0 {
-				rec.Action = "opportunistic-migrate"
-				rec.Added = added
-				rec.Removed = removed
-				acted = true
-				k.act.Annotate(fmt.Sprintf("opportunistic migration: +%d faster nodes, -%d slow",
-					added, removed))
-			}
-		}
-	case core.ActionAdd:
-		rec.Added = k.act.Provision(d.AddCount, k.reqs.MinBandwidth(), k.veto)
-		if rec.Added > 0 {
-			acted = true
-			k.act.Annotate(fmt.Sprintf("adding %d nodes (WAE %.2f)", rec.Added, d.WAE))
-		}
-	case core.ActionRemoveNodes:
-		rec.Removed = k.evict(d.RemoveNodes, "badness", blacklist)
-		if rec.Removed > 0 {
-			acted = true
-			k.act.Annotate(fmt.Sprintf("removed %d worst nodes (WAE %.2f)", rec.Removed, d.WAE))
-		}
-	case core.ActionRemoveCluster:
-		// Learn the bandwidth requirement before the reports disappear.
-		k.learnClusterBandwidth(d)
-		removed := k.evict(d.RemoveNodes, "cluster uplink saturated", true)
-		if removed > 0 {
-			if !k.cfg.DisableBlacklist {
-				k.reqs.BlacklistCluster(d.RemoveCluster,
-					fmt.Sprintf("inter-cluster overhead %.0f%%", d.ClusterInterComm*100))
-			}
-			k.act.Annotate(fmt.Sprintf("removed badly connected cluster %s (%d nodes)",
-				d.RemoveCluster, removed))
-		} else if k.eng != nil {
-			// The offending cluster holds only protected nodes, which
-			// cannot leave; fall back to evicting the worst ordinary
-			// nodes so the coordinator does not spin on the same
-			// decision. Only the batch objective emits cluster
-			// evictions, so the engine is present here.
-			count := k.eng.ShrinkCount(len(stats), d.WAE)
-			ranked := core.RankNodes(stats, k.weights)
-			var victims []core.NodeID
-			for _, nb := range ranked {
-				if len(victims) >= count {
-					break
-				}
-				if nb.Cluster != d.RemoveCluster {
-					victims = append(victims, nb.Node)
-				}
-			}
-			removed = k.evict(victims, "badness (cluster fallback)", true)
-			if removed > 0 {
-				k.act.Annotate(fmt.Sprintf("removed %d worst nodes (WAE %.2f)", removed, d.WAE))
-			}
-		}
-		rec.Removed = removed
-		acted = removed > 0
+	epoch := k.root.ResetEpoch()
+	for _, sk := range k.subs {
+		sum := sk.Summarize(now, k.liveBy[sk.cluster])
+		sum.Epoch = epoch
+		k.root.Ingest(sum)
 	}
-	if acted {
-		// The stored reports describe the pre-action configuration;
-		// deciding on them again would chain actions off stale data
-		// (e.g. evicting a second cluster for overhead the first one
-		// caused). Start the next period fresh — including the
-		// smoothing window, whose previous period is just as stale.
-		k.reports = make(map[core.NodeID]metrics.Report)
-		k.prevStats = make(map[core.NodeID]core.NodeStats)
-		k.ins.resets.Inc()
+	stream := k.stream
+	k.stream = core.StreamObs{}
+	rec := k.root.tick(now, k.clusters, len(live), &stream)
+	if k.root.ResetEpoch() != epoch {
+		// The root acted: the stored reports describe the pre-action
+		// configuration, so every sub starts the next period fresh.
+		for _, sk := range k.subs {
+			sk.Reset()
+		}
 	}
 	return rec
 }
@@ -543,122 +322,4 @@ func smooth(cur, prev core.NodeStats) core.NodeStats {
 		cur.Links = merged
 	}
 	return cur
-}
-
-// learnClusterBandwidth tightens the minimum-bandwidth requirement
-// when a cluster is evacuated for insufficient uplink bandwidth. The
-// bound must be a LINK CAPACITY (that is what the scheduler can
-// compare against), so the sources are tried capacity-first:
-//
-//  1. the actuator's NWS-style observed link capacity,
-//  2. the mean per-pair achieved share from the nodes' reports (which
-//     divides the capacity among concurrent flows),
-//  3. the decision's best measured pair bandwidth.
-func (k *Kernel) learnClusterBandwidth(d core.Decision) {
-	bw := k.act.ObservedBandwidth(d.RemoveCluster)
-	if bw <= 0 {
-		bw = k.reportedBandwidth(d.RemoveCluster)
-	}
-	if bw <= 0 {
-		bw = d.MeasuredBandwidth
-	}
-	if bw > 0 {
-		k.reqs.LearnMinBandwidth(bw)
-	}
-}
-
-// reportedBandwidth is the fallback bandwidth estimate for a cluster:
-// the mean achieved inter-cluster throughput its nodes reported.
-func (k *Kernel) reportedBandwidth(c core.ClusterID) float64 {
-	sum, n := 0.0, 0
-	for _, rep := range k.reports {
-		if rep.Cluster == c && rep.InterBandwidth > 0 {
-			sum += rep.InterBandwidth
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// evict filters out protected nodes, asks the actuator to remove the
-// rest, and — when blacklist is set — blacklists exactly the nodes
-// that actually left so the scheduler does not hand them straight
-// back. A fair-share yield evicts without blacklisting: the yielded
-// nodes are healthy and may return once the pool decompresses.
-func (k *Kernel) evict(victims []core.NodeID, reason string, blacklist bool) int {
-	want := make([]core.NodeID, 0, len(victims))
-	for _, id := range victims {
-		if !k.protected[id] {
-			want = append(want, id)
-		}
-	}
-	if len(want) == 0 {
-		return 0
-	}
-	evicted := k.act.Evict(want, reason)
-	for _, id := range evicted {
-		if blacklist && !k.cfg.DisableBlacklist {
-			k.reqs.BlacklistNode(id, reason)
-		}
-		delete(k.reports, id)
-		delete(k.prevStats, id)
-	}
-	return len(evicted)
-}
-
-// tryOpportunistic implements opportunistic migration: when clearly
-// faster processors are idle in the grid, migrate to them even though
-// WAE is inside the band — add replacements from the fastest site and
-// evict the slow nodes they displace. The paper's scenario 5 is the
-// motivating case: after the badly connected cluster left, ~3x slower
-// nodes kept the WAE legal and nothing improved further without this.
-func (k *Kernel) tryOpportunistic(stats []core.NodeStats) (added, removed int) {
-	mig, ok := k.act.(Migrator)
-	if !ok {
-		return 0, 0 // the runtime's scheduler cannot rank idle resources
-	}
-	slowest := math.Inf(1)
-	for _, st := range stats {
-		if st.Speed > 0 && st.Speed < slowest {
-			slowest = st.Speed
-		}
-	}
-	if math.IsInf(slowest, 1) {
-		return 0, 0 // no measured speeds yet
-	}
-	cluster, speed, free := mig.BestAvailable(k.veto)
-	if cluster == "" || speed < slowest*k.cfg.OpportunisticFactor {
-		return 0, 0
-	}
-	// The migration set: live nodes clearly slower than the candidate
-	// site, slowest first; protected nodes stay where they are.
-	var slow []core.NodeStats
-	for _, st := range stats {
-		if st.Speed > 0 && st.Speed*k.cfg.OpportunisticFactor <= speed && !k.protected[st.Node] {
-			slow = append(slow, st)
-		}
-	}
-	sort.Slice(slow, func(i, j int) bool {
-		if slow[i].Speed != slow[j].Speed {
-			return slow[i].Speed < slow[j].Speed
-		}
-		return slow[i].Node < slow[j].Node
-	})
-	want := len(slow)
-	if want > free {
-		want = free
-	}
-	if want == 0 {
-		return 0, 0
-	}
-	added = mig.ProvisionFrom(cluster, want, k.reqs.MinBandwidth(), k.veto)
-	victims := make([]core.NodeID, 0, added)
-	for i := 0; i < added && i < len(slow); i++ {
-		victims = append(victims, slow[i].Node)
-	}
-	removed = k.evict(victims, "opportunistic migration", true)
-	return added, removed
 }

@@ -410,43 +410,56 @@ func TestCrossRuntimeParity(t *testing.T) {
 
 // --- learned bandwidth: capacity-preferred fallback order -------------
 
-// TestLearnClusterBandwidthFallbackOrder pins the unified source order
-// for the learned minimum-bandwidth bound when a cluster is evacuated:
+// TestLearnClusterBandwidthFallbackOrder pins the source order for the
+// learned minimum-bandwidth bound when the root evacuates a cluster:
 // the runtime's observed link capacity first, then the mean per-report
-// achieved throughput, then the decision's measured pair bandwidth.
+// achieved throughput the cluster's summary carries, then the culprit
+// rule's measured pair bandwidth.
 func TestLearnClusterBandwidthFallbackOrder(t *testing.T) {
-	d := core.Decision{Action: core.ActionRemoveCluster, RemoveCluster: "B", MeasuredBandwidth: 7e5}
-	mk := func(observed float64, withReports bool) *Kernel {
-		k := newKernel(t, Config{}, &scriptedActuator{observed: observed})
-		if withReports {
-			k.Report(rep("b1", "B", 0, 55, 0, 40, 100, 0.8e6))
-			k.Report(rep("b2", "B", 0, 55, 0, 40, 100, 1.2e6))
-			k.Report(rep("a1", "A", 0, 55, 0, 40, 100, 9e9)) // other cluster: ignored
+	mk := func(observed float64, withReports bool) *RootKernel {
+		ecfg := core.DefaultConfig()
+		rk, err := NewRoot(Config{Engine: &ecfg}, &scriptedActuator{observed: observed})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return k
+		if withReports {
+			for c, reps := range map[core.ClusterID][]metrics.Report{
+				"B": {rep("b1", "B", 0, 55, 0, 40, 100, 0.8e6), rep("b2", "B", 0, 55, 0, 40, 100, 1.2e6)},
+				"A": {rep("a1", "A", 0, 55, 0, 40, 100, 9e9)}, // other cluster: ignored
+			} {
+				sk := NewSubKernel(c, 0, ecfg.Weights)
+				var live []core.NodeID
+				for _, r := range reps {
+					sk.Report(r)
+					live = append(live, r.Node)
+				}
+				rk.Ingest(sk.Summarize(dur, live))
+			}
+		}
+		return rk
 	}
 
-	k := mk(5e6, true)
-	k.learnClusterBandwidth(d)
-	if got := k.Requirements().MinBandwidth(); !approx(got, 5e6) {
+	rk := mk(5e6, true)
+	rk.learnClusterBandwidth("B", 7e5)
+	if got := rk.Requirements().MinBandwidth(); !approx(got, 5e6) {
 		t.Errorf("with observed capacity: learned %v, want the capacity 5e6", got)
 	}
 
-	k = mk(0, true)
-	k.learnClusterBandwidth(d)
-	if got := k.Requirements().MinBandwidth(); !approx(got, 1e6) {
+	rk = mk(0, true)
+	rk.learnClusterBandwidth("B", 7e5)
+	if got := rk.Requirements().MinBandwidth(); !approx(got, 1e6) {
 		t.Errorf("without capacity: learned %v, want the 1e6 mean of the cluster's reports", got)
 	}
 
-	k = mk(0, false)
-	k.learnClusterBandwidth(d)
-	if got := k.Requirements().MinBandwidth(); !approx(got, 7e5) {
+	rk = mk(0, false)
+	rk.learnClusterBandwidth("B", 7e5)
+	if got := rk.Requirements().MinBandwidth(); !approx(got, 7e5) {
 		t.Errorf("without capacity or reports: learned %v, want the measured pair bandwidth 7e5", got)
 	}
 
-	k = mk(0, false)
-	k.learnClusterBandwidth(core.Decision{Action: core.ActionRemoveCluster, RemoveCluster: "B"})
-	if got := k.Requirements().MinBandwidth(); got != 0 {
+	rk = mk(0, false)
+	rk.learnClusterBandwidth("B", 0)
+	if got := rk.Requirements().MinBandwidth(); got != 0 {
 		t.Errorf("with no bandwidth information: learned %v, want no bound", got)
 	}
 }
@@ -516,7 +529,9 @@ func TestReportKeepsFreshest(t *testing.T) {
 	k := newKernel(t, Config{MonitorOnly: true}, &scriptedActuator{})
 	k.Report(rep("n1", "A", 2, 10, 0, 0, 100, 0))
 	k.Report(rep("n1", "A", 1, 90, 0, 0, 100, 0)) // older: batched redelivery
-	if got := k.Reports()["n1"]; got.IdleSec != 10 {
+	var got metrics.Report
+	k.EachReport(func(r metrics.Report) bool { got = r; return true })
+	if got.IdleSec != 10 {
 		t.Fatalf("stale report overwrote the fresh one: %+v", got)
 	}
 }
@@ -592,7 +607,9 @@ func TestConcurrentReportAndTick(t *testing.T) {
 		k.Tick(float64((p+1)*dur), live)
 	}
 	wg.Wait()
-	if got := len(k.Reports()); got != len(live) {
+	got := 0
+	k.EachReport(func(metrics.Report) bool { got++; return true })
+	if got != len(live) {
 		t.Fatalf("kernel tracks %d reports, want %d", got, len(live))
 	}
 }

@@ -76,25 +76,24 @@ func TestClusterSummaryWireCorrupt(t *testing.T) {
 	frametest.Corrupt[ClusterSummary, *ClusterSummary](t, enc)
 }
 
-// --- flat vs sharded decision parity ----------------------------------
+// --- scripted decision sequences on the single-process kernel --------
 
-// parityActuator is the shared fake runtime for the parity harness: it
-// grants every provision, evicts every victim from its own live world,
-// and records all calls so the two pipelines' effect sequences can be
-// compared verbatim.
-type parityActuator struct {
+// worldActuator is the fake runtime of the scripted kernel tests: it
+// grants every provision, evicts every victim from its live world, and
+// records all calls so a test can pin the effect sequence verbatim.
+type worldActuator struct {
 	live       map[core.NodeID]core.ClusterID
 	provisions []int
 	evictions  [][]core.NodeID
 	labels     []string
 }
 
-func (a *parityActuator) Provision(n int, minBandwidth float64, veto Veto) int {
+func (a *worldActuator) Provision(n int, minBandwidth float64, veto Veto) int {
 	a.provisions = append(a.provisions, n)
 	return n
 }
 
-func (a *parityActuator) Evict(victims []core.NodeID, reason string) []core.NodeID {
+func (a *worldActuator) Evict(victims []core.NodeID, reason string) []core.NodeID {
 	for _, id := range victims {
 		delete(a.live, id)
 	}
@@ -102,269 +101,96 @@ func (a *parityActuator) Evict(victims []core.NodeID, reason string) []core.Node
 	return victims
 }
 
-func (a *parityActuator) ObservedBandwidth(core.ClusterID) float64 { return 0 }
+func (a *worldActuator) ObservedBandwidth(core.ClusterID) float64 { return 0 }
 
-func (a *parityActuator) Annotate(label string) { a.labels = append(a.labels, label) }
+func (a *worldActuator) Annotate(label string) { a.labels = append(a.labels, label) }
 
-// ClusterNodes makes the actuator a RootActuator: sorted live roster of
-// one cluster, which is exactly the flat kernel's eviction order for a
-// cluster whose nodes all report.
-func (a *parityActuator) ClusterNodes(c core.ClusterID) []core.NodeID {
-	var out []core.NodeID
-	for id, cl := range a.live {
-		if cl == c {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// scriptHarness drives one Kernel through a report script over a small
+// world and checks the effects the script expects.
+type scriptHarness struct {
+	t   *testing.T
+	k   *Kernel
+	act *worldActuator
 }
 
-var _ RootActuator = (*parityActuator)(nil)
-
-// parityHarness drives the flat kernel and the sharded tree through the
-// same report script and lets the test compare the period records.
-type parityHarness struct {
-	t    *testing.T
-	fk   *Kernel
-	fact *parityActuator
-	rk   *RootKernel
-	ract *parityActuator
-	subs map[core.ClusterID]*SubKernel
-
-	epoch uint64 // the subs' adopted root reset epoch
-}
-
-func newParityHarness(t *testing.T, world map[core.NodeID]core.ClusterID) *parityHarness {
+func newScriptHarness(t *testing.T, world map[core.NodeID]core.ClusterID, cfg Config) *scriptHarness {
 	t.Helper()
-	cp := func() map[core.NodeID]core.ClusterID {
-		m := make(map[core.NodeID]core.ClusterID, len(world))
-		for id, c := range world {
-			m[id] = c
-		}
-		return m
+	live := make(map[core.NodeID]core.ClusterID, len(world))
+	for id, c := range world {
+		live[id] = c
 	}
-	h := &parityHarness{
-		t:    t,
-		fact: &parityActuator{live: cp()},
-		ract: &parityActuator{live: cp()},
-		subs: make(map[core.ClusterID]*SubKernel),
+	h := &scriptHarness{t: t, act: &worldActuator{live: live}}
+	var err error
+	if h.k, err = New(cfg, h.act); err != nil {
+		t.Fatal(err)
 	}
-	h.fk = newKernel(t, Config{}, h.fact)
+	return h
+}
+
+func newBatchHarness(t *testing.T, world map[core.NodeID]core.ClusterID) *scriptHarness {
 	ecfg := core.DefaultConfig()
-	rk, err := NewRoot(Config{Engine: &ecfg}, h.ract)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.rk = rk
-	for _, c := range world {
-		if _, ok := h.subs[c]; !ok {
-			// Proposal cap 0: every reporting node is proposed, the
-			// configuration under which the sharded ranking is exact.
-			h.subs[c] = NewSubKernel(c, 0, ecfg.Weights)
-		}
-	}
-	return h
+	return newScriptHarness(t, world, Config{Engine: &ecfg})
 }
 
-// newStreamParityHarness is the harness under the streaming objective:
-// the flat kernel and the sharded root each own a *separate* StreamSLO
-// instance built from the same configuration, so the hysteresis state
-// machines run independently over identical inputs — shared state would
-// mask a divergence instead of exposing it.
-func newStreamParityHarness(t *testing.T, world map[core.NodeID]core.ClusterID, scfg core.StreamSLOConfig) *parityHarness {
-	t.Helper()
-	cp := func() map[core.NodeID]core.ClusterID {
-		m := make(map[core.NodeID]core.ClusterID, len(world))
-		for id, c := range world {
-			m[id] = c
-		}
-		return m
-	}
-	h := &parityHarness{
-		t:    t,
-		fact: &parityActuator{live: cp()},
-		ract: &parityActuator{live: cp()},
-		subs: make(map[core.ClusterID]*SubKernel),
-	}
-	fobj, err := core.NewStreamSLO(scfg)
+func newStreamHarness(t *testing.T, world map[core.NodeID]core.ClusterID, scfg core.StreamSLOConfig) *scriptHarness {
+	obj, err := core.NewStreamSLO(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.fk, err = New(Config{Objective: fobj}, h.fact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	robj, err := core.NewStreamSLO(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.rk, err = NewRoot(Config{Objective: robj}, h.ract)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range world {
-		if _, ok := h.subs[c]; !ok {
-			h.subs[c] = NewSubKernel(c, 0, scfg.Weights)
-		}
-	}
-	return h
+	return newScriptHarness(t, world, Config{Objective: obj})
 }
 
-// observeStream feeds one period's streaming partials to both
-// pipelines: each cluster's share lands at its sub-kernel, and the flat
-// kernel receives the same partials merged in sorted cluster order —
-// the exact order the root sums summary partials in, so the float
-// arithmetic cannot drift.
-func (h *parityHarness) observeStream(partials map[core.ClusterID]core.StreamObs) {
+// observeStream feeds one period's per-cluster streaming partials, in
+// sorted cluster order so the float sums are reproducible.
+func (h *scriptHarness) observeStream(partials map[core.ClusterID]core.StreamObs) {
 	clusters := make([]core.ClusterID, 0, len(partials))
 	for c := range partials {
 		clusters = append(clusters, c)
 	}
 	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
 	for _, c := range clusters {
-		h.fk.ObserveStream(partials[c])
-		h.subs[c].ObserveStream(partials[c])
+		h.k.ObserveStream(partials[c])
 	}
 }
 
-// period feeds one period's reports to both pipelines and runs both
-// ticks. Reports of nodes a pipeline already evicted are dropped for
-// that pipeline only, so a divergence would become visible instead of
-// being masked.
-func (h *parityHarness) period(pi int, reports []metrics.Report) (flat, sharded PeriodRecord) {
-	now := float64(pi+1) * dur
-
-	// Flat pipeline.
+// period feeds one period's reports and ticks. Reports of nodes the
+// kernel already evicted are dropped, as a real runtime would.
+func (h *scriptHarness) period(pi int, reports []metrics.Report) PeriodRecord {
 	for _, r := range reports {
-		if _, ok := h.fact.live[r.Node]; ok {
-			h.fk.Report(r)
+		if _, ok := h.act.live[r.Node]; ok {
+			h.k.Report(r)
 		}
 	}
-	flatLive := make([]core.NodeID, 0, len(h.fact.live))
-	for id := range h.fact.live {
-		flatLive = append(flatLive, id)
-	}
-	flat = h.fk.Tick(now, flatLive)
-
-	// Sharded pipeline: reports land at the cluster's sub-kernel, each
-	// sub summarizes, the root ingests and ticks, and an epoch bump
-	// resets every sub (the driver contract of des and adapt).
-	byCluster := make(map[core.ClusterID][]core.NodeID)
-	for id, c := range h.ract.live {
-		byCluster[c] = append(byCluster[c], id)
-	}
-	for _, r := range reports {
-		if _, ok := h.ract.live[r.Node]; ok {
-			h.subs[r.Cluster].Report(r)
-		}
-	}
-	clusters := make([]core.ClusterID, 0, len(byCluster))
-	for c := range byCluster {
-		clusters = append(clusters, c)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
-	for _, c := range clusters {
-		sum := h.subs[c].Summarize(now, byCluster[c])
-		sum.Epoch = h.epoch
-		if !h.rk.Ingest(sum) {
-			h.t.Fatalf("period %d: summary of %s rejected", pi, c)
-		}
-	}
-	sharded = h.rk.Tick(now, clusters, len(h.ract.live))
-	if after := h.rk.ResetEpoch(); after != h.epoch {
-		h.epoch = after
-		for _, sub := range h.subs {
-			sub.Reset()
-		}
-	}
-	return flat, sharded
+	return h.k.Tick(float64(pi+1)*dur, sortedLive(h.act.live))
 }
 
-func (h *parityHarness) compare(pi int, flat, sharded PeriodRecord) {
+// finish checks the effects the whole script left behind: the
+// provision and eviction sequences, both blacklists, the learned
+// bandwidth and the survivors.
+func (h *scriptHarness) finish(provisions []int, evictions [][]core.NodeID, nodeBL []core.NodeID,
+	clusterBL []core.ClusterID, minBW float64, survivors []core.NodeID) {
 	h.t.Helper()
-	if flat.Action != sharded.Action || flat.Detail != sharded.Detail {
-		h.t.Fatalf("period %d: decisions diverge\n  flat:    %q %q\n  sharded: %q %q",
-			pi, flat.Action, flat.Detail, sharded.Action, sharded.Detail)
+	if fmt.Sprint(h.act.provisions) != fmt.Sprint(provisions) {
+		h.t.Errorf("provisions %v, want %v", h.act.provisions, provisions)
 	}
-	if flat.Added != sharded.Added || flat.Removed != sharded.Removed {
-		h.t.Fatalf("period %d: effects diverge: flat +%d/-%d, sharded +%d/-%d",
-			pi, flat.Added, flat.Removed, sharded.Added, sharded.Removed)
+	if fmt.Sprint(h.act.evictions) != fmt.Sprint(evictions) {
+		h.t.Errorf("evictions %v, want %v", h.act.evictions, evictions)
 	}
-	if flat.Nodes != sharded.Nodes || flat.Stats != sharded.Stats {
-		h.t.Fatalf("period %d: census diverges: flat %d/%d, sharded %d/%d",
-			pi, flat.Nodes, flat.Stats, sharded.Nodes, sharded.Stats)
+	req := h.k.Requirements()
+	if got := sortedNodes(req.BlacklistedNodes()); fmt.Sprint(got) != fmt.Sprint(nodeBL) {
+		h.t.Errorf("node blacklist %v, want %v", got, nodeBL)
 	}
-	if !approx(flat.WAE, sharded.WAE) {
-		h.t.Fatalf("period %d: WAE diverges: flat %v, sharded %v", pi, flat.WAE, sharded.WAE)
+	gotC := req.BlacklistedClusters()
+	sort.Slice(gotC, func(i, j int) bool { return gotC[i] < gotC[j] })
+	if fmt.Sprint(gotC) != fmt.Sprint(clusterBL) {
+		h.t.Errorf("cluster blacklist %v, want %v", gotC, clusterBL)
 	}
-}
-
-// finish asserts the two runs left identical state behind: the same
-// effect sequences, the same learned requirements, the same survivors.
-func (h *parityHarness) finish() {
-	h.t.Helper()
-	if !equalIntSlices(h.fact.provisions, h.ract.provisions) {
-		h.t.Errorf("provision sequences diverge: flat %v, sharded %v",
-			h.fact.provisions, h.ract.provisions)
+	if got := req.MinBandwidth(); got != minBW {
+		h.t.Errorf("learned bandwidth %v, want %v", got, minBW)
 	}
-	if len(h.fact.evictions) != len(h.ract.evictions) {
-		h.t.Fatalf("eviction counts diverge: flat %v, sharded %v",
-			h.fact.evictions, h.ract.evictions)
+	if got := sortedLive(h.act.live); fmt.Sprint(got) != fmt.Sprint(survivors) {
+		h.t.Errorf("survivors %v, want %v", got, survivors)
 	}
-	for i := range h.fact.evictions {
-		if !equalNodeSlices(h.fact.evictions[i], h.ract.evictions[i]) {
-			h.t.Errorf("eviction %d diverges: flat %v, sharded %v",
-				i, h.fact.evictions[i], h.ract.evictions[i])
-		}
-	}
-	if fmt.Sprint(h.fact.labels) != fmt.Sprint(h.ract.labels) {
-		h.t.Errorf("annotations diverge:\n  flat:    %v\n  sharded: %v",
-			h.fact.labels, h.ract.labels)
-	}
-	fr, sr := h.fk.Requirements(), h.rk.Requirements()
-	if !equalNodeSlices(sortedNodes(fr.BlacklistedNodes()), sortedNodes(sr.BlacklistedNodes())) {
-		h.t.Errorf("node blacklists diverge: flat %v, sharded %v",
-			fr.BlacklistedNodes(), sr.BlacklistedNodes())
-	}
-	fc, sc := fr.BlacklistedClusters(), sr.BlacklistedClusters()
-	sort.Slice(fc, func(i, j int) bool { return fc[i] < fc[j] })
-	sort.Slice(sc, func(i, j int) bool { return sc[i] < sc[j] })
-	if fmt.Sprint(fc) != fmt.Sprint(sc) {
-		h.t.Errorf("cluster blacklists diverge: flat %v, sharded %v", fc, sc)
-	}
-	if fr.MinBandwidth() != sr.MinBandwidth() {
-		h.t.Errorf("learned bandwidth diverges: flat %v, sharded %v",
-			fr.MinBandwidth(), sr.MinBandwidth())
-	}
-	if fmt.Sprint(sortedLive(h.fact.live)) != fmt.Sprint(sortedLive(h.ract.live)) {
-		h.t.Errorf("surviving nodes diverge: flat %v, sharded %v",
-			sortedLive(h.fact.live), sortedLive(h.ract.live))
-	}
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalNodeSlices(a, b []core.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sortedNodes(ids []core.NodeID) []core.NodeID {
@@ -382,18 +208,17 @@ func sortedLive(m map[core.NodeID]core.ClusterID) []core.NodeID {
 	return out
 }
 
-// TestFlatShardedDecisionParity is ISSUE 8's parity pin: on a small
-// world with an uncapped proposal budget, the sharded tree must produce
-// the flat kernel's decision sequence verbatim — same actions, same
-// reason strings, same victims, same blacklists — across a script that
-// exercises grow, the within-band case, worst-node shrink, and the
-// inter-comm whole-cluster eviction. All report values are chosen
-// binary-exact so the reassociated WAE arithmetic cannot drift.
-func TestFlatShardedDecisionParity(t *testing.T) {
-	h := newParityHarness(t, map[core.NodeID]core.ClusterID{
+// TestKernelDecisionScript pins the batch objective's decision sequence
+// on a small world across grow, the within-band case, worst-node shrink
+// with the worst-cluster bonus, and the inter-comm whole-cluster
+// eviction: actions, victims, blacklists and the learned bandwidth. All
+// report values are chosen binary-exact so the per-cluster partial sums
+// cannot drift.
+func TestKernelDecisionScript(t *testing.T) {
+	h := newBatchHarness(t, map[core.NodeID]core.ClusterID{
 		"a1": "A", "a2": "A", "b1": "B", "b2": "B", "c1": "C", "c2": "C",
 	})
-	all := func(period int, mk func(n core.NodeID, c core.ClusterID) metrics.Report) []metrics.Report {
+	all := func(mk func(n core.NodeID, c core.ClusterID) metrics.Report) []metrics.Report {
 		var out []metrics.Report
 		for _, nc := range []struct {
 			n core.NodeID
@@ -406,70 +231,64 @@ func TestFlatShardedDecisionParity(t *testing.T) {
 
 	// Period 0: everyone 75% efficient -> WAE 0.750 > EMax, grow by
 	// round(6·0.75/0.4)-6 = 5.
-	f, s := h.period(0, all(0, func(n core.NodeID, c core.ClusterID) metrics.Report {
+	f := h.period(0, all(func(n core.NodeID, c core.ClusterID) metrics.Report {
 		return rep(n, c, 0, 25, 0, 0, 100, 0)
 	}))
-	h.compare(0, f, s)
-	if f.Action != "add" || f.Added != 5 {
-		t.Fatalf("period 0: want add 5, got %q +%d (%s)", f.Action, f.Added, f.Detail)
+	if f.Action != "add" || f.Added != 5 || f.WAE != 0.75 {
+		t.Fatalf("period 0: want add 5 at WAE 0.75, got %q +%d (%s)", f.Action, f.Added, f.Detail)
 	}
 
 	// Period 1: 43.75% efficient -> within band, no action.
-	f, s = h.period(1, all(1, func(n core.NodeID, c core.ClusterID) metrics.Report {
+	f = h.period(1, all(func(n core.NodeID, c core.ClusterID) metrics.Report {
 		return rep(n, c, 1, 56.25, 0, 0, 100, 0)
 	}))
-	h.compare(1, f, s)
-	if f.Action != "none" {
+	if f.Action != "none" || f.Detail != "WAE 0.438 within [0.30,0.50]" {
 		t.Fatalf("period 1: want none, got %q (%s)", f.Action, f.Detail)
 	}
 
 	// Period 2: idle jumps to 87.5%; the two-period smoothing puts the
-	// WAE at (0.4375+0.125)/2 = 0.28125 < EMin on both sides, and the
-	// worst-cluster bonus (tie broken towards cluster A) selects a1, a2.
-	f, s = h.period(2, all(2, func(n core.NodeID, c core.ClusterID) metrics.Report {
+	// WAE at (0.4375+0.125)/2 = 0.28125 < EMin, and the worst-cluster
+	// bonus (tie broken towards cluster A) selects a1, a2.
+	f = h.period(2, all(func(n core.NodeID, c core.ClusterID) metrics.Report {
 		return rep(n, c, 2, 87.5, 0, 0, 100, 0)
 	}))
-	h.compare(2, f, s)
-	if f.Action != "remove-nodes" || f.Removed != 2 {
-		t.Fatalf("period 2: want remove-nodes 2, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
+	if f.Action != "remove-nodes" || f.Removed != 2 || f.WAE != 0.28125 {
+		t.Fatalf("period 2: want remove-nodes 2 at WAE 0.28125, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
 	}
 
 	// Period 3: cluster B's inter-cluster overhead dominates (50% vs
 	// 12.5%) with WAE 0.1875 < EMin -> whole-cluster eviction, learned
 	// bandwidth from B's reported achieved throughput.
-	f, s = h.period(3, []metrics.Report{
+	f = h.period(3, []metrics.Report{
 		rep("b1", "B", 3, 37.5, 0, 50, 100, 2e6),
 		rep("b2", "B", 3, 37.5, 0, 50, 100, 2e6),
 		rep("c1", "C", 3, 62.5, 0, 12.5, 100, 0),
 		rep("c2", "C", 3, 62.5, 0, 12.5, 100, 0),
 	})
-	h.compare(3, f, s)
 	if f.Action != "remove-cluster" || f.Removed != 2 {
 		t.Fatalf("period 3: want remove-cluster 2, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
 	}
 
 	// Period 4: the surviving cluster settles inside the band.
-	f, s = h.period(4, []metrics.Report{
+	f = h.period(4, []metrics.Report{
 		rep("c1", "C", 4, 56.25, 0, 0, 100, 0),
 		rep("c2", "C", 4, 56.25, 0, 0, 100, 0),
 	})
-	h.compare(4, f, s)
 	if f.Action != "none" {
 		t.Fatalf("period 4: want none, got %q (%s)", f.Action, f.Detail)
 	}
 
-	h.finish()
-	req := h.rk.Requirements()
-	if req.MinBandwidth() != 2e6 {
-		t.Errorf("learned bandwidth = %v, want 2e6 from cluster B's reports", req.MinBandwidth())
-	}
+	h.finish([]int{5}, [][]core.NodeID{{"a1", "a2"}, {"b1", "b2"}},
+		[]core.NodeID{"a1", "a2", "b1", "b2"}, []core.ClusterID{"B"}, 2e6,
+		[]core.NodeID{"c1", "c2"})
 }
 
-// TestFlatShardedBandwidthCulpritParity pins the measurement-based
-// cluster-drop rule across the shard split: the per-cluster link-sample
-// partials must reproduce the flat pair-bandwidth estimation exactly.
-func TestFlatShardedBandwidthCulpritParity(t *testing.T) {
-	h := newParityHarness(t, map[core.NodeID]core.ClusterID{
+// TestKernelBandwidthCulpritEviction pins the measurement-based
+// cluster-drop rule: the per-cluster link-sample partials must single
+// out the congested cluster, evacuate it and learn its measured pair
+// bandwidth as the bound.
+func TestKernelBandwidthCulpritEviction(t *testing.T) {
+	h := newBatchHarness(t, map[core.NodeID]core.ClusterID{
 		"d1": "D", "d2": "D", "e1": "E", "e2": "E", "f1": "F", "f2": "F",
 	})
 	link := func(peer core.ClusterID, sec, bytes float64) map[core.ClusterID]core.LinkSample {
@@ -484,7 +303,7 @@ func TestFlatShardedBandwidthCulpritParity(t *testing.T) {
 	// Cluster E's best pair (0.5 MB/s) is under 10% of the healthiest
 	// pair -> E is the culprit, evacuated with the measured bandwidth
 	// becoming the learned bound.
-	f, s := h.period(0, []metrics.Report{
+	f := h.period(0, []metrics.Report{
 		mk("d1", "D", link("F", 0.5, 5e6)),
 		mk("d2", "D", link("F", 0.5, 5e6)),
 		mk("e1", "E", link("D", 2, 1e6)),
@@ -492,27 +311,20 @@ func TestFlatShardedBandwidthCulpritParity(t *testing.T) {
 		mk("f1", "F", nil),
 		mk("f2", "F", nil),
 	})
-	h.compare(0, f, s)
-	if f.Action != "remove-cluster" || f.Removed != 2 {
-		t.Fatalf("want remove-cluster 2, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
+	if f.Action != "remove-cluster" || f.Removed != 2 || !strings.Contains(f.Detail, "cluster E best-pair bandwidth 500000 B/s") {
+		t.Fatalf("want remove-cluster E of 2, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
 	}
-	h.finish()
-	if bw := h.rk.Requirements().MinBandwidth(); bw != 5e5 {
-		t.Errorf("learned bandwidth = %v, want the measured 5e5", bw)
-	}
+	h.finish(nil, [][]core.NodeID{{"e1", "e2"}}, []core.NodeID{"e1", "e2"}, []core.ClusterID{"E"}, 5e5,
+		[]core.NodeID{"d1", "d2", "f1", "f2"})
 }
 
-// TestFlatShardedStreamSLOParity is ISSUE 9's parity pin for the second
-// objective: under the streaming latency SLO, the sharded tree (stream
-// partials travelling as ClusterSummary aggregates, decisions from the
-// root's merged observation) must reproduce the flat kernel's decision
-// sequence verbatim across the whole hysteresis state machine — the
-// proportional grow on a violation, the dead band, the calm streak, the
-// single sluggish shrink with badness-ranked victims, and the streak
-// restart after acting. All latency sums are chosen binary-exact so the
-// sorted-order partial summation cannot drift.
-func TestFlatShardedStreamSLOParity(t *testing.T) {
-	h := newStreamParityHarness(t, map[core.NodeID]core.ClusterID{
+// TestKernelStreamSLOScript pins the streaming objective across its
+// whole hysteresis state machine: the proportional grow on a
+// violation, the dead band, the calm streak, the single sluggish
+// shrink with a badness-ranked victim that is not blacklisted, and the
+// streak restart after acting. All latency sums are binary-exact.
+func TestKernelStreamSLOScript(t *testing.T) {
+	h := newStreamHarness(t, map[core.NodeID]core.ClusterID{
 		"a1": "A", "a2": "A", "b1": "B", "b2": "B",
 	}, core.DefaultStreamSLO(2)) // target 2s; HighRatio 1, LowRatio 0.5, ShrinkAfter 4
 
@@ -537,8 +349,7 @@ func TestFlatShardedStreamSLOParity(t *testing.T) {
 	// Period 0: mean latency 4s, health 0.5 -> SLO violated, grow
 	// proportionally: round(4·(1/0.5 - 1)) = 4, within the 1x cap.
 	h.observeStream(partials(4))
-	f, s := h.period(0, reports(0))
-	h.compare(0, f, s)
+	f := h.period(0, reports(0))
 	if f.Action != "add" || f.Added != 4 {
 		t.Fatalf("period 0: want add 4, got %q +%d (%s)", f.Action, f.Added, f.Detail)
 	}
@@ -549,8 +360,7 @@ func TestFlatShardedStreamSLOParity(t *testing.T) {
 	// Period 1: mean latency exactly on target, health 1.0 — inside the
 	// hysteresis dead band: no violation, not calm either.
 	h.observeStream(partials(2))
-	f, s = h.period(1, reports(1))
-	h.compare(1, f, s)
+	f = h.period(1, reports(1))
 	if f.Action != "none" {
 		t.Fatalf("period 1: want none, got %q (%s)", f.Action, f.Detail)
 	}
@@ -560,50 +370,41 @@ func TestFlatShardedStreamSLOParity(t *testing.T) {
 	// exactly one node: the badness-worst b2, not blacklisted.
 	for pi := 2; pi <= 4; pi++ {
 		h.observeStream(partials(0.5))
-		f, s = h.period(pi, reports(pi))
-		h.compare(pi, f, s)
+		f = h.period(pi, reports(pi))
 		if f.Action != "none" {
 			t.Fatalf("period %d: want none while calm streak builds, got %q (%s)",
 				pi, f.Action, f.Detail)
 		}
 	}
 	h.observeStream(partials(0.5))
-	f, s = h.period(5, reports(5))
-	h.compare(5, f, s)
-	if f.Action != "remove-nodes" || f.Removed != 1 {
+	f = h.period(5, reports(5))
+	if f.Action != "remove-nodes" || f.Removed != 1 || !strings.Contains(f.Detail, "release 1") {
 		t.Fatalf("period 5: want remove-nodes 1, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
-	}
-	if _, alive := h.fact.live["b2"]; alive {
-		t.Fatal("period 5: flat victim was not b2")
 	}
 
 	// Period 6: still calm, but the shrink restarted the streak — one
-	// calm period is not four, so both pipelines hold.
+	// calm period is not four, so the kernel holds.
 	h.observeStream(map[core.ClusterID]core.StreamObs{
 		"A": {Arrived: 10, Completed: 10, LatencySum: 5},
 		"B": {Arrived: 5, Completed: 5, LatencySum: 2.5},
 	})
-	f, s = h.period(6, reports(6))
-	h.compare(6, f, s)
+	f = h.period(6, reports(6))
 	if f.Action != "none" {
 		t.Fatalf("period 6: want none after streak restart, got %q (%s)", f.Action, f.Detail)
 	}
 
-	h.finish()
-	if bl := h.rk.Requirements().BlacklistedNodes(); len(bl) != 0 {
-		t.Errorf("capacity shrink blacklisted nodes: %v", bl)
-	}
+	h.finish([]int{4}, [][]core.NodeID{{"b2"}}, nil, nil, 0, []core.NodeID{"a1", "a2", "b1"})
 }
 
-// TestFlatShardedStreamSLOShedParity pins the straggler-shed path across
-// the shard split. The parity actuator "grants" every provision but the
-// granted nodes never report, so the census never moves — exactly the
-// stuck-violation shape the shed guard watches for. Both pipelines must
-// flip from growing to shedding the same badness-worst nodes, with the
-// same shed wording, and blacklist them identically: a shed is a
-// judgement on the node, so the provisioner must not hand it back.
-func TestFlatShardedStreamSLOShedParity(t *testing.T) {
-	h := newStreamParityHarness(t, map[core.NodeID]core.ClusterID{
+// TestKernelStreamSLOShed pins the straggler-shed path. The actuator
+// "grants" every provision but the granted nodes never report, so the
+// census never moves — exactly the stuck-violation shape the shed
+// guard watches for. The kernel must flip from growing to shedding the
+// badness-worst nodes, with the shed wording, and blacklist them: a
+// shed is a judgement on the node, so the provisioner must not hand it
+// back.
+func TestKernelStreamSLOShed(t *testing.T) {
+	h := newStreamHarness(t, map[core.NodeID]core.ClusterID{
 		"a1": "A", "a2": "A", "b1": "B", "b2": "B",
 	}, core.DefaultStreamSLO(2)) // StuckAfter 3: the fourth stuck violation sheds
 
@@ -624,11 +425,10 @@ func TestFlatShardedStreamSLOShedParity(t *testing.T) {
 	}
 
 	// Periods 0-2: three judged violations with no census growth — the
-	// guard is still patient, so both pipelines keep asking for nodes.
+	// guard is still patient, so the kernel keeps asking for nodes.
 	for pi := 0; pi <= 2; pi++ {
 		h.observeStream(partials())
-		f, s := h.period(pi, reports(pi))
-		h.compare(pi, f, s)
+		f := h.period(pi, reports(pi))
 		if f.Action != "add" || f.Added != 4 {
 			t.Fatalf("period %d: want add 4 while the stuck streak builds, got %q +%d (%s)",
 				pi, f.Action, f.Added, f.Detail)
@@ -638,40 +438,73 @@ func TestFlatShardedStreamSLOShedParity(t *testing.T) {
 	// Period 3: the fourth stuck violation gives up on growing and sheds
 	// the badness-worst node instead.
 	h.observeStream(partials())
-	f, s := h.period(3, reports(3))
-	h.compare(3, f, s)
+	f := h.period(3, reports(3))
 	if f.Action != "remove-nodes" || f.Removed != 1 {
 		t.Fatalf("period 3: want remove-nodes 1, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
 	}
 	if !strings.Contains(f.Detail, "straggler") {
 		t.Fatalf("period 3: detail %q does not name the straggler shed", f.Detail)
 	}
-	if _, alive := h.fact.live["b2"]; alive {
-		t.Fatal("period 3: flat shed victim was not b2")
-	}
 
 	// Period 4: still stuck at the smaller census — shed the next-worst.
 	h.observeStream(partials())
-	f, s = h.period(4, reports(4))
-	h.compare(4, f, s)
+	f = h.period(4, reports(4))
 	if f.Action != "remove-nodes" || f.Removed != 1 {
 		t.Fatalf("period 4: want remove-nodes 1, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
 	}
-	if _, alive := h.fact.live["b1"]; alive {
-		t.Fatal("period 4: flat shed victim was not b1")
+
+	h.finish([]int{4, 4, 4}, [][]core.NodeID{{"b2"}, {"b1"}}, []core.NodeID{"b1", "b2"}, nil, 0,
+		[]core.NodeID{"a1", "a2"})
+}
+
+// TestStreamSLOReleasesWorstNode: the streaming objective's shrink
+// victim is ranked by badness — the slow, communication-bound node goes
+// first — while a violation grows and an empty fleet bootstraps.
+func TestStreamSLOReleasesWorstNode(t *testing.T) {
+	cfg := core.DefaultStreamSLO(5)
+	cfg.ShrinkAfter = 1
+	world := map[core.NodeID]core.ClusterID{"good": "c0", "bad": "c1", "ok": "c0"}
+	reports := []metrics.Report{
+		rep("good", "c0", 0, 5, 0, 0, 200, 0),
+		rep("bad", "c1", 0, 30, 0, 50, 50, 0),
+		rep("ok", "c0", 0, 10, 0, 0, 150, 0),
+	}
+	h := newStreamHarness(t, world, cfg)
+	h.k.ObserveStream(core.StreamObs{Completed: 10, LatencySum: 10}) // mean 1s vs target 5s
+	if f := h.period(0, reports); f.Action != "remove-nodes" || !strings.Contains(f.Detail, "release") {
+		t.Fatalf("calm period: %q (%s), want one release", f.Action, f.Detail)
+	}
+	h.finish(nil, [][]core.NodeID{{"bad"}}, nil, nil, 0, []core.NodeID{"good", "ok"})
+
+	hot := newStreamHarness(t, world, cfg)
+	hot.k.ObserveStream(core.StreamObs{Completed: 10, LatencySum: 100}) // mean 10s vs target 5s
+	if f := hot.period(0, reports); f.Action != "add" {
+		t.Fatalf("violation: %q (%s), want add", f.Action, f.Detail)
 	}
 
-	h.finish()
-	bl := sortedNodes(h.rk.Requirements().BlacklistedNodes())
-	if fmt.Sprint(bl) != fmt.Sprint([]core.NodeID{"b1", "b2"}) {
-		t.Errorf("shed victims not blacklisted: got %v, want [b1 b2]", bl)
+	empty := newStreamHarness(t, nil, cfg)
+	if f := empty.period(0, nil); f.Action != "add" || f.Added != 1 {
+		t.Fatalf("empty fleet: %q +%d, want a bootstrap add of 1", f.Action, f.Added)
+	}
+}
+
+// TestStreamObservationWithoutReports: a period whose stream
+// observation arrives before any node has reported records the
+// observation's health — 2s target over an 8s mean latency is 0.25 —
+// with no node statistics, and takes no action on it.
+func TestStreamObservationWithoutReports(t *testing.T) {
+	h := newStreamHarness(t, map[core.NodeID]core.ClusterID{"a1": "A", "a2": "A"}, core.DefaultStreamSLO(2))
+	h.k.ObserveStream(core.StreamObs{Arrived: 10, Completed: 10, LatencySum: 80, Backlog: 5})
+	f := h.period(0, nil)
+	if f.WAE != 0.25 || f.Stats != 0 || f.Nodes != 2 || f.Action != "" {
+		t.Fatalf("record %+v, want WAE 0.25 on 2 live nodes with no stats and no action", f)
 	}
 }
 
 // --- allocation guards -------------------------------------------------
 
-// TestEachReportNoAllocs pins the satellite fix for Reports(): the
-// iteration-based accessors must not copy the report map.
+// TestEachReportNoAllocs pins the iteration-based report accessors:
+// they must not copy the report maps.
 func TestEachReportNoAllocs(t *testing.T) {
 	k := newKernel(t, Config{}, &scriptedActuator{})
 	for i := 0; i < 32; i++ {
@@ -706,8 +539,8 @@ func benchSummary(i, nodes, proposals int) ClusterSummary {
 		Cluster: c, Seq: 1, Time: 100,
 		Nodes: nodes, Stats: nodes,
 		SpeedMax: 100, SpeedMin: 100,
-		WorkSum: 40 * float64(nodes), // eff 0.4 at speed 100
-		EffSum:  0.4 * float64(nodes),
+		WorkSum:  40 * float64(nodes), // eff 0.4 at speed 100
+		EffSum:   0.4 * float64(nodes),
 		SpeedSum: 100 * float64(nodes),
 		InterSum: 0.05 * float64(nodes),
 	}
@@ -735,7 +568,7 @@ func BenchmarkRootKernelTick(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ecfg := core.DefaultConfig()
-			rk, err := NewRoot(Config{Engine: &ecfg}, &parityActuator{live: map[core.NodeID]core.ClusterID{}})
+			rk, err := NewRoot(Config{Engine: &ecfg}, &worldActuator{live: map[core.NodeID]core.ClusterID{}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -758,14 +591,15 @@ func BenchmarkRootKernelTick(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatKernelTick is the contrast arm: the flat kernel's tick
-// is O(nodes log nodes) with per-node smoothing, the cost the shard
-// split removes from the root.
+// BenchmarkFlatKernelTick is the contrast arm: the single-process
+// Kernel's tick runs every sub-kernel's O(nodes log nodes) per-node
+// smoothing in line with the root, the cost the message-passing tree
+// spreads over the clusters.
 func BenchmarkFlatKernelTick(b *testing.B) {
 	for _, nodes := range []int{200, 2000, 10000} {
 		b.Run(fmt.Sprintf("%dnodes", nodes), func(b *testing.B) {
 			ecfg := core.DefaultConfig()
-			k, err := New(Config{Engine: &ecfg}, &parityActuator{live: map[core.NodeID]core.ClusterID{}})
+			k, err := New(Config{Engine: &ecfg}, &worldActuator{live: map[core.NodeID]core.ClusterID{}})
 			if err != nil {
 				b.Fatal(err)
 			}

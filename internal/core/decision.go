@@ -141,11 +141,6 @@ type Decision struct {
 	// RemoveNodes lists the nodes to evict, worst first
 	// (ActionRemoveNodes).
 	RemoveNodes []NodeID
-	// Blacklist marks RemoveNodes as harmful rather than surplus: the
-	// coordinator blacklists them even when the objective's traits
-	// leave ordinary shrink victims pardonable (a shed straggler must
-	// not be handed straight back by the provisioner).
-	Blacklist bool
 	// RemoveCluster is the cluster to evacuate (ActionRemoveCluster).
 	RemoveCluster ClusterID
 	// ClusterInterComm is the offending cluster's inter-cluster overhead

@@ -53,17 +53,13 @@ func (o StreamObs) MeanLatency() float64 {
 	return o.LatencySum / float64(o.Completed)
 }
 
-// PeriodObs is everything an objective may observe about one period.
-// The flat kernel and the sub-kernels fill Stats (smoothed per-node
-// statistics); the sharded root has no per-node stats and instead
-// provides the reconstructed aggregate via Health/HasHealth. Stream is
-// set when the workload reports streaming observations.
+// PeriodObs is everything an objective may observe about one period:
+// the aggregate efficiency the root kernel reconstructs from its
+// cluster summaries, and the period's streaming observation when the
+// workload reports one.
 type PeriodObs struct {
-	// Stats are the smoothed per-node statistics (nil at the sharded
-	// root, which only sees cluster summaries).
-	Stats []NodeStats
-	// Health is the precomputed aggregate efficiency when Stats is nil
-	// (the root's reassociated WAE reconstruction).
+	// Health is the period's (weighted) average efficiency; HasHealth
+	// is false when no node reported.
 	Health    float64
 	HasHealth bool
 	// Stream carries the period's streaming observation, when any.
@@ -106,9 +102,8 @@ type Traits struct {
 
 // Objective is the pluggable policy of the adaptation loop. Judge may
 // be stateful (hysteresis) and is called exactly once per monitoring
-// period by whichever kernel drives the objective; Health and Explain
-// must stay pure so the flat and sharded pipelines render identical
-// period logs from identical inputs.
+// period by the root kernel; Health and Explain must stay pure so a
+// replayed period renders the same log line.
 type Objective interface {
 	// Name identifies the objective in traces and annotations.
 	Name() string
@@ -120,15 +115,8 @@ type Objective interface {
 	// Judge maps health and the current node count to a verdict plus a
 	// magnitude (nodes to add or remove).
 	Judge(health float64, n int) (Verdict, int)
-	// Explain renders the verdict's reason string; the flat kernel and
-	// the sharded root both use it, so their period logs match
-	// verbatim.
+	// Explain renders the verdict's reason string for the period log.
 	Explain(v Verdict, health float64, n, count int) string
-	// Assess is the full per-node decision for kernels that hold
-	// per-node statistics (the flat kernel): verdict, magnitude, and
-	// concrete victims. Implementations derive it from Judge so the
-	// flat and sharded pipelines share one state machine.
-	Assess(po PeriodObs) Decision
 }
 
 // ---- BatchWAE: the paper's efficiency band, extracted ----------------
@@ -164,17 +152,9 @@ func (b *BatchWAE) Traits() Traits {
 	return Traits{BlacklistVictims: true, ClusterEviction: true}
 }
 
-// Health implements Objective: the (weighted) average efficiency, or
-// the root's precomputed reconstruction when per-node stats are absent.
-func (b *BatchWAE) Health(po PeriodObs) float64 {
-	if po.Stats == nil && po.HasHealth {
-		return po.Health
-	}
-	if b.eng.cfg.UnweightedEfficiency {
-		return Efficiency(po.Stats)
-	}
-	return WeightedAverageEfficiency(po.Stats)
-}
+// Health implements Objective: the period's (weighted) average
+// efficiency, which the root reconstructs from its cluster summaries.
+func (b *BatchWAE) Health(po PeriodObs) float64 { return po.Health }
 
 // Judge implements Objective: the paper's band comparison with the
 // Eager-derived grow step and the symmetric shrink step.
@@ -189,7 +169,7 @@ func (b *BatchWAE) Judge(health float64, n int) (Verdict, int) {
 }
 
 // Explain implements Objective, reproducing the engine's reason
-// strings byte for byte (the flat/sharded parity suite compares them).
+// strings byte for byte (TestBatchWAEMatchesEngineDecide compares them).
 func (b *BatchWAE) Explain(v Verdict, health float64, n, count int) string {
 	cfg := b.eng.cfg
 	switch v {
@@ -206,12 +186,6 @@ func (b *BatchWAE) Explain(v Verdict, health float64, n, count int) string {
 	default:
 		return fmt.Sprintf("WAE %.3f within [%.2f,%.2f]", health, cfg.EMin, cfg.EMax)
 	}
-}
-
-// Assess implements Objective by delegating to the engine's Decide —
-// including the cluster-eviction rules that need per-node link samples.
-func (b *BatchWAE) Assess(po PeriodObs) Decision {
-	return b.eng.Decide(po.Stats)
 }
 
 // ---- StreamSLO: throughput/latency targets for pipelines -------------
@@ -480,46 +454,6 @@ func (s *StreamSLO) Explain(v Verdict, health float64, n, count int) string {
 	default:
 		return fmt.Sprintf("stream health %.3f within band", health)
 	}
-}
-
-// Assess implements Objective for the flat kernel: judge the health
-// scalar, then pick concrete shrink victims by badness from the
-// per-node statistics — the same ranking the sharded root reproduces
-// from proposal samples.
-func (s *StreamSLO) Assess(po PeriodObs) Decision {
-	n := len(po.Stats)
-	h := s.Health(po)
-	if n == 0 {
-		return Decision{Action: ActionAdd, AddCount: 1,
-			Reason: "no live nodes; bootstrap by requesting one"}
-	}
-	v, cnt := s.Judge(h, n)
-	d := Decision{WAE: h}
-	switch v {
-	case VerdictGrow:
-		d.Action = ActionAdd
-		d.AddCount = cnt
-	case VerdictShrink, VerdictShed:
-		if cnt == 0 {
-			d.Action = ActionNone
-			break
-		}
-		ranked := RankNodes(po.Stats, s.cfg.Weights)
-		if cnt > len(ranked) {
-			cnt = len(ranked)
-		}
-		victims := make([]NodeID, 0, cnt)
-		for _, nb := range ranked[:cnt] {
-			victims = append(victims, nb.Node)
-		}
-		d.Action = ActionRemoveNodes
-		d.RemoveNodes = victims
-		d.Blacklist = v == VerdictShed
-	default:
-		d.Action = ActionNone
-	}
-	d.Reason = s.Explain(v, h, n, cnt)
-	return d
 }
 
 var (

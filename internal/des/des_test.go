@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -256,7 +257,9 @@ func TestMasterCrashRecovered(t *testing.T) {
 
 // Scenario 5's signature: after the bad cluster goes, WAE sits between
 // the thresholds, so the lightly loaded slow nodes are kept — the
-// situation the paper uses to motivate opportunistic migration.
+// situation the paper uses to motivate opportunistic migration. The
+// settled periods are also where the two-period smoothing runs, in the
+// flat and the sharded coordinator alike.
 func TestScenario5NoActionBetweenThresholds(t *testing.T) {
 	p := baseParams(60)
 	p = adaptive(p)
@@ -264,12 +267,26 @@ func TestScenario5NoActionBetweenThresholds(t *testing.T) {
 		{At: 1, Kind: InjShapeUplink, Cluster: "fs2", Bandwidth: 100e3},
 		{At: 1, Kind: InjSetLoad, Cluster: "fs1", Count: 6, Load: 2},
 	}
+	smoothed := obs.Default.Counter("coord/smoothed_reports")
+	before := smoothed.Value()
 	res, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
 		t.Fatal("incomplete")
+	}
+	if smoothed.Value() == before {
+		t.Error("flat coordinator smoothed no reports")
+	}
+	ps := p
+	ps.Sharded = true
+	before = smoothed.Value()
+	if _, err := Run(ps); err != nil {
+		t.Fatal(err)
+	}
+	if smoothed.Value() == before {
+		t.Error("sharded coordinator smoothed no reports")
 	}
 	// After the cluster removal settles, later periods should be
 	// mostly no-action with WAE inside the band.

@@ -60,10 +60,12 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 	}
 }
 
-// TestShardedFlatDecisionParityDES is the satellite parity check at the
-// simulator level: on a small world with identical seeds the sharded
-// tree must reproduce the flat coordinator's decision sequence (the
-// paper's expansion scenario: grow from 8 under-provisioned nodes).
+// TestShardedFlatDecisionParityDES checks delivery at the simulator
+// level: both modes run the same sub-kernel/root-kernel pair, the flat
+// one in process and the sharded one as messages with network latency,
+// acks and resets. On a small world with identical seeds the message
+// tree must reproduce the in-process decision sequence (the paper's
+// expansion scenario: grow from 8 under-provisioned nodes).
 func TestShardedFlatDecisionParityDES(t *testing.T) {
 	base := func() Params {
 		p := baseParams(60)
